@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-pipeline smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-keyserver bench-ingest bench-gcd bench-cluster bench-scan bench-anomaly
+.PHONY: ci build vet test race test-32bit bench bench-pipeline smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-keyserver bench-ingest bench-gcd bench-cluster bench-scan bench-anomaly
 
 # ci is the full gate: compile everything, vet, run the test suite under
 # the race detector (which includes every fault-injection test), smoke-
@@ -11,8 +11,9 @@ GO ?= go
 # replica-kill failover), the scan->ingest pipeline and the anomalous-
 # key verdict classes end to end, guard the instrumentation hot-path
 # cost, and hold the batch-GCD kernel, the scan engine and the anomaly
-# probes to their throughput and exactness floors.
-ci: build vet race smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-gcd bench-scan bench-anomaly
+# probes to their throughput and exactness floors. test-32bit reruns the
+# Montgomery limb kernel and its callers with 32-bit words and fuzzes it.
+ci: build vet race test-32bit smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-gcd bench-scan bench-anomaly
 
 build:
 	$(GO) build ./...
@@ -25,6 +26,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# test-32bit runs the hand-written Montgomery limb code in
+# internal/numtheory and the keycheck sweep built on it with 32-bit
+# big.Words (GOARCH=386), then fuzzes the kernel against math/big for
+# 10s per target: the /v1/check modulus is attacker-chosen and reaches
+# this code.
+test-32bit:
+	GOARCH=386 $(GO) test ./internal/numtheory ./internal/keycheck
+	$(GO) test -run '^$$' -fuzz '^FuzzMontReduce$$' -fuzztime 10s ./internal/numtheory
+	$(GO) test -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime 10s ./internal/numtheory
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

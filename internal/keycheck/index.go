@@ -11,6 +11,7 @@ import (
 	"github.com/factorable/weakkeys/internal/anomaly"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/kernel"
+	"github.com/factorable/weakkeys/internal/numtheory"
 	"github.com/factorable/weakkeys/internal/prodtree"
 	"github.com/factorable/weakkeys/internal/scanstore"
 )
@@ -310,18 +311,18 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 			return v
 		}
 	}
-	// GCD path. gcd(n, P mod n) = gcd(n, P) finds the product of n's
-	// primes shared with shard product P without ever forming P/n.
+	// GCD path: gcd(n, P) against every shard product P, by streaming
+	// reduction (see divisorSweep) rather than forming P mod n.
 	g := new(big.Int).Set(one)
 	var proper *big.Int // a proper divisor of n, if any shard yields one
-	r := new(big.Int)
+	sweep := newDivisorSweep(n)
 	for si, sh := range s.shards {
 		product := sh.product()
 		if product == nil {
 			continue
 		}
-		r.Mod(product, n)
-		if r.Sign() == 0 {
+		gi, divides := sweep.gcd(product)
+		if divides {
 			// n divides the shard product outright. For the home shard
 			// with a Bloom hit that means n is a corpus member: batch
 			// GCD already ran over the whole corpus at build time, so a
@@ -335,12 +336,11 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 			g.Set(n)
 			continue
 		}
-		gi := new(big.Int).GCD(nil, nil, n, r)
 		if gi.Cmp(one) <= 0 {
 			continue
 		}
 		if gi.Cmp(n) < 0 {
-			proper = gi
+			proper = new(big.Int).Set(gi)
 		}
 		g.Mul(g, gi)
 		g.GCD(nil, nil, g, n)
@@ -398,6 +398,44 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	}
 	v.Divisor = hexOf(g)
 	return v
+}
+
+// divisorSweep computes gcd(n, P) and whether n divides P for one
+// modulus n > 0 against many long products P, without division. Write
+// n = 2ᵗ·m with m odd. The odd part goes through a Montgomery reduction
+// of P: its residue r ≡ P·β⁻ᵏ (mod m) has gcd(m, r) = gcd(m, P) and is
+// zero exactly when m | P, because β is a unit mod odd m. The 2ᵗ part is
+// read off P's trailing zero bits. The reduction reuses one residue
+// buffer, so after the first shard it allocates nothing.
+type divisorSweep struct {
+	twos uint            // t
+	odd  *big.Int        // m
+	mont *numtheory.Mont // nil when m == 1
+	r, g big.Int
+}
+
+func newDivisorSweep(n *big.Int) *divisorSweep {
+	w := &divisorSweep{twos: n.TrailingZeroBits()}
+	w.odd = new(big.Int).Rsh(n, w.twos)
+	w.mont = numtheory.NewMont(w.odd)
+	return w
+}
+
+// gcd returns gcd(n, p) and whether n divides p. The returned value is
+// overwritten by the next call; callers keep a copy.
+func (w *divisorSweep) gcd(p *big.Int) (g *big.Int, divides bool) {
+	oddDivides := true
+	w.g.SetInt64(1)
+	if w.mont != nil {
+		if w.mont.Reduce(&w.r, p).Sign() == 0 {
+			w.g.Set(w.odd)
+		} else {
+			oddDivides = false
+			w.g.GCD(nil, nil, w.odd, &w.r)
+		}
+	}
+	tz := p.TrailingZeroBits()
+	return w.g.Lsh(&w.g, min(w.twos, tz)), oddDivides && tz >= w.twos
 }
 
 // recoverDivisorCap bounds the fallback prime scan for the rare

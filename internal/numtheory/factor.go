@@ -50,8 +50,9 @@ func PollardRho(n *big.Int, maxSteps int) *big.Int {
 	if n.Bit(0) == 0 {
 		return big.NewInt(2)
 	}
+	m := NewMont(n)
 	for c := int64(1); c <= 8; c++ {
-		if d := rhoBrent(n, c, maxSteps); d != nil {
+		if d := rhoBrent(m, n, c, maxSteps); d != nil {
 			return d
 		}
 	}
@@ -59,41 +60,46 @@ func PollardRho(n *big.Int, maxSteps int) *big.Int {
 }
 
 // rhoBrent is one rho run with f(x) = x² + c mod n and batched GCDs.
-func rhoBrent(n *big.Int, c int64, maxSteps int) *big.Int {
-	x := big.NewInt(2)
-	y := new(big.Int).Set(x)
-	cc := big.NewInt(c)
-	d := new(big.Int)
-	prod := big.NewInt(1)
-	var diff big.Int
+// Every value lives in Montgomery form (x·R mod n): the start value is
+// 2R, the constant cR, and f(xR) = (xR)²R⁻¹ + cR = (x² + c)R. So the
+// sequence is the plain one times the unit R. A batch product of
+// |xR - yR| = ±(x - y)R terms, Montgomery-multiplied from R, is
+// ±Π(x - y)·R, whose gcd with n is the plain batch's. Each divisor
+// found is therefore the one the plain iteration finds.
+func rhoBrent(m *Mont, n *big.Int, c int64, maxSteps int) *big.Int {
+	L := len(m.n)
+	w := make([]big.Word, 6*L)
+	x, y, cc, prod, diff, rOne := w[:L], w[L:2*L], w[2*L:3*L], w[3*L:4*L], w[4*L:5*L], w[5*L:]
+	m.toMont(x, two)
+	copy(y, x)
+	m.toMont(cc, big.NewInt(c))
+	m.toMont(rOne, one)
+	var pb, d big.Int
 
-	step := func(v *big.Int) {
-		v.Mul(v, v)
-		v.Add(v, cc)
-		v.Mod(v, n)
+	step := func(v []big.Word) {
+		m.mul(v, v, v)
+		m.addMod(v, v, cc)
 	}
 
 	const batch = 64
 	for steps := 0; steps < maxSteps; {
 		// Advance the fast pointer two steps per slow step, batching
 		// |x-y| products to amortize the gcd.
-		prod.SetInt64(1)
+		copy(prod, rOne)
 		for i := 0; i < batch && steps < maxSteps; i++ {
 			step(x)
 			step(y)
 			step(y)
-			diff.Sub(x, y)
-			if diff.Sign() == 0 {
+			if absDiff(diff, x, y) {
 				// Cycle without a factor for this c.
 				return nil
 			}
-			prod.Mul(prod, &diff)
-			prod.Mod(prod, n)
+			m.mul(prod, prod, diff)
 			steps++
 		}
-		d.GCD(nil, nil, prod, n)
+		d.GCD(nil, nil, pb.SetBits(prod), n)
 		if d.Cmp(one) != 0 && d.Cmp(n) != 0 {
-			return new(big.Int).Set(d)
+			return new(big.Int).Set(&d)
 		}
 		if d.Cmp(n) == 0 {
 			// Overshot: a factor divided the batch product; retry this c
@@ -105,13 +111,47 @@ func rhoBrent(n *big.Int, c int64, maxSteps int) *big.Int {
 	return nil
 }
 
+// fermatSieve is the modulus of Fermat's quadratic-residue filter,
+// 64·63·65·11. A perfect square is a square modulo each factor, and
+// only ~0.8% of residues mod fermatSieve pass all four.
+const fermatSieve = 64 * 63 * 65 * 11
+
+// fermatSquares[i] marks the squares modulo fermatMods[i].
+var (
+	fermatMods    = [4]uint64{64, 63, 65, 11}
+	fermatSquares = func() (sq [4][]bool) {
+		for i, m := range fermatMods {
+			sq[i] = make([]bool, m)
+			for x := uint64(0); x < m; x++ {
+				sq[i][x*x%m] = true
+			}
+		}
+		return sq
+	}()
+)
+
+// mayBeSquare reports whether v mod fermatSieve is a square modulo all
+// four sieve factors, which every perfect square is.
+func mayBeSquare(v uint64) bool {
+	for i, m := range fermatMods {
+		if !fermatSquares[i][v%m] {
+			return false
+		}
+	}
+	return true
+}
+
 // FermatFactor attempts to factor n = p*q with close primes by Fermat's
 // method: ascend a from ceil(sqrt(n)) and test whether a² - n is a
 // perfect square b²; if so, n = (a-b)(a+b). The budget is the number of
 // candidate a values tried (so step 0 tests ceil(sqrt(n)) itself, and a
 // pair whose midpoint is k above the root needs a budget of k+1). It
 // returns nil, nil when no split lands within the budget or n is even,
-// a square, prime, or < 2.
+// prime, or < 2. A square n = p² splits at step 0 as (p, p).
+//
+// The ascent tracks a and a² - n modulo fermatSieve in machine words and
+// takes the exact square root only where that residue may be a square,
+// so ~99% of steps cost a few word operations instead of a Sqrt.
 //
 // Primes drawn too close together — the "When RSA Fails" prime-selection
 // flaw where q is the next prime after p, or p and q share high bits —
@@ -122,34 +162,38 @@ func FermatFactor(n *big.Int, maxSteps int) (p, q *big.Int) {
 	if n.Sign() <= 0 || n.BitLen() < 2 || n.Bit(0) == 0 || n.ProbablyPrime(12) {
 		return nil, nil
 	}
-	a := new(big.Int).Sqrt(n)
-	aa := new(big.Int).Mul(a, a)
+	a0 := new(big.Int).Sqrt(n)
+	aa := new(big.Int).Mul(a0, a0)
 	if aa.Cmp(n) < 0 {
-		a.Add(a, one)
+		a0.Add(a0, one)
 	}
-	// b2 = a² - n, updated incrementally: stepping a to a+1 adds 2a+1.
-	b2 := new(big.Int).Mul(a, a)
-	b2.Sub(b2, n)
-	b := new(big.Int)
-	bb := new(big.Int)
-	step := new(big.Int)
+	var r big.Int
+	sieve := big.NewInt(fermatSieve)
+	am := r.Mod(a0, sieve).Uint64()
+	nm := r.Mod(n, sieve).Uint64()
+	// b2m = a² - n mod fermatSieve; stepping a to a+1 adds 2a+1.
+	b2m := (am*am + fermatSieve - nm) % fermatSieve
+	a, b2, b, bb := new(big.Int), new(big.Int), new(big.Int), new(big.Int)
 	for i := 0; i < maxSteps; i++ {
-		b.Sqrt(b2)
-		bb.Mul(b, b)
-		if bb.Cmp(b2) == 0 {
-			p = new(big.Int).Sub(a, b)
-			q = new(big.Int).Add(a, b)
-			if p.Cmp(one) <= 0 {
-				// n itself is the degenerate 1·n split (n a square of
-				// nothing useful, or a=(n+1)/2 reached for tiny n).
-				return nil, nil
+		if mayBeSquare(b2m) {
+			a.Add(a0, r.SetInt64(int64(i)))
+			b2.Mul(a, a)
+			b2.Sub(b2, n)
+			b.Sqrt(b2)
+			bb.Mul(b, b)
+			if bb.Cmp(b2) == 0 {
+				p = new(big.Int).Sub(a, b)
+				q = new(big.Int).Add(a, b)
+				if p.Cmp(one) <= 0 {
+					// n itself is the degenerate 1·n split (n a square of
+					// nothing useful, or a=(n+1)/2 reached for tiny n).
+					return nil, nil
+				}
+				return p, q
 			}
-			return p, q
 		}
-		step.Lsh(a, 1)
-		step.Add(step, one)
-		b2.Add(b2, step)
-		a.Add(a, one)
+		b2m = (b2m + 2*am + 1) % fermatSieve
+		am = (am + 1) % fermatSieve
 	}
 	return nil, nil
 }

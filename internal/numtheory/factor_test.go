@@ -140,11 +140,16 @@ func TestFermatFactorRefusesNonCandidates(t *testing.T) {
 			t.Errorf("%s: FermatFactor(%v) = %v, %v, want nil", name, n, p, q)
 		}
 	}
-	// A prime square is the step-0 fixed point.
-	sq := new(big.Int).Mul(prime, prime)
-	p, q := FermatFactor(sq, 1)
-	if p == nil || p.Cmp(prime) != 0 || q.Cmp(prime) != 0 {
-		t.Errorf("square: got %v, %v, want %v twice", p, q, prime)
+	// A prime square is the step-0 fixed point: ceil(sqrt(p²)) = p and
+	// a² - n = 0 is a perfect square, so a budget of one returns (p, p).
+	// The quadratic-residue filter must pass 0, a square modulo every
+	// sieve factor.
+	for _, pr := range []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7919), prime} {
+		sq := new(big.Int).Mul(pr, pr)
+		p, q := FermatFactor(sq, 1)
+		if p == nil || p.Cmp(pr) != 0 || q.Cmp(pr) != 0 {
+			t.Errorf("square %v: got %v, %v, want %v twice", sq, p, q, pr)
+		}
 	}
 }
 
@@ -233,5 +238,29 @@ func TestFactorCompletelyIncompleteBudget(t *testing.T) {
 	primes, incomplete := FactorCompletely(n, 64, 10)
 	if len(incomplete) != 1 || incomplete[0].Cmp(n) != 0 {
 		t.Errorf("expected the whole modulus to resist: primes=%v incomplete=%v", primes, incomplete)
+	}
+}
+
+// TestFermatSieve holds the quadratic-residue filter to its two
+// properties: it never rejects a perfect square (whatever its size, as
+// tracked mod fermatSieve), and it passes under 1% of all residues, so
+// the ascent skips the Sqrt on ~99% of steps.
+func TestFermatSieve(t *testing.T) {
+	rng := testRand(47)
+	for i := 0; i < 100000; i++ {
+		b := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(1+i%200)))
+		v := new(big.Int).Mul(b, b)
+		if !mayBeSquare(v.Mod(v, big.NewInt(fermatSieve)).Uint64()) {
+			t.Fatalf("filter rejected the square of %v", b)
+		}
+	}
+	pass := 0
+	for v := uint64(0); v < fermatSieve; v++ {
+		if mayBeSquare(v) {
+			pass++
+		}
+	}
+	if frac := float64(pass) / fermatSieve; frac >= 0.01 {
+		t.Errorf("filter passes %.4f of residues, want < 0.01", frac)
 	}
 }

@@ -119,7 +119,7 @@ func (f *KeyFactory) Healthy() (*weakrsa.PrivateKey, error) {
 func (f *KeyFactory) SharedPrime(pool string, gen weakrsa.PrimeGen) (*weakrsa.PrivateKey, error) {
 	c := f.cohorts[pool]
 	if c == nil || c.members >= c.size {
-		prime, err := f.prime(gen)
+		prime, err := f.cohortPrime(gen)
 		if err != nil {
 			return nil, err
 		}
@@ -142,6 +142,32 @@ func (f *KeyFactory) SharedPrime(pool string, gen weakrsa.PrimeGen) (*weakrsa.Pr
 		return k, nil
 	}
 	return nil, fmt.Errorf("population: shared-prime key generation failed for pool %q", pool)
+}
+
+// cohortPrime draws a cohort's shared prime. A prime p with
+// gcd(p-1, e) != 1 can never pair into a key with exponent e, because e
+// then shares a factor with φ = (p-1)(q-1) for every mate q. Such a
+// cohort could issue no key at all, so its prime is redrawn. A redraw
+// happens only where SharedPrime would otherwise have failed, so every
+// key stream that succeeded before is unchanged.
+func (f *KeyFactory) cohortPrime(gen weakrsa.PrimeGen) (*big.Int, error) {
+	for attempt := 0; attempt < 16; attempt++ {
+		p, err := f.prime(gen)
+		if err != nil {
+			return nil, err
+		}
+		if pairsWithExponent(p, weakrsa.DefaultExponent) {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("population: no cohort prime coprime to e in 16 draws")
+}
+
+// pairsWithExponent reports whether gcd(p-1, e) = 1, the condition for
+// p to appear in any key with public exponent e.
+func pairsWithExponent(p *big.Int, e int) bool {
+	pm := new(big.Int).Sub(p, big.NewInt(1))
+	return new(big.Int).GCD(nil, nil, pm, big.NewInt(int64(e))).Cmp(big.NewInt(1)) == 0
 }
 
 // CliqueKey draws a key from the named clique (created on first use with

@@ -1,7 +1,10 @@
 package population
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/numtheory"
@@ -158,5 +161,84 @@ func TestFactoryDeterminism(t *testing.T) {
 	}
 	if a.Bits() != 128 {
 		t.Error("Bits accessor wrong")
+	}
+}
+
+// TestCohortPrimeMustPairWithExponent is the regression for cohorts
+// that could issue no key: a cohort prime p ≡ 1 (mod 65537) makes e
+// divide φ for every mate, so every draw failed and SharedPrime gave up.
+func TestCohortPrimeMustPairWithExponent(t *testing.T) {
+	e := weakrsa.DefaultExponent
+	// A 128-bit prime p ≡ 1 (mod 2e).
+	step := big.NewInt(int64(2 * e))
+	p := new(big.Int).Lsh(big.NewInt(1), 127)
+	p.Sub(p, new(big.Int).Mod(p, step))
+	p.Add(p, step)
+	p.Add(p, big.NewInt(1))
+	for !p.ProbablyPrime(20) {
+		p.Add(p, step)
+	}
+	if p.BitLen() != 128 || new(big.Int).Mod(p, big.NewInt(int64(e))).Int64() != 1 {
+		t.Fatalf("constructed p = %x is not a 128-bit p ≡ 1 (mod %d)", p, e)
+	}
+	if pairsWithExponent(p, e) {
+		t.Errorf("pairsWithExponent accepted p ≡ 1 (mod %d)", e)
+	}
+	mate, err := numtheory.GenPrimeNaive(rand.New(rand.NewSource(9)), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := assemble(p, mate, e); err == nil {
+		t.Errorf("assemble paired p ≡ 1 (mod %d) with a mate", e)
+	}
+	if !pairsWithExponent(mate, e) {
+		t.Errorf("pairsWithExponent rejected %x, p-1 mod e = %v", mate, new(big.Int).Mod(new(big.Int).Sub(mate, big.NewInt(1)), big.NewInt(int64(e))))
+	}
+
+	// Seeds whose first 64-bit cohort prime is ≡ 1 (mod e): SharedPrime
+	// used to fail on them and must now redraw and succeed.
+	for _, c := range []struct {
+		seed int64
+		gen  weakrsa.PrimeGen
+	}{{35689, weakrsa.PrimeNaive}, {64825, weakrsa.PrimeOpenSSL}} {
+		f := NewKeyFactory(c.seed, 128)
+		k, err := f.SharedPrime("pool", c.gen)
+		if err != nil {
+			t.Fatalf("seed %d (%v): %v", c.seed, c.gen, err)
+		}
+		if err := k.Validate(); err != nil {
+			t.Errorf("seed %d: %v", c.seed, err)
+		}
+		if !pairsWithExponent(k.P, e) {
+			t.Errorf("seed %d: cohort prime %x has e | p-1", c.seed, k.P)
+		}
+	}
+}
+
+// TestKeyStreamUnchanged pins a seed's key stream: the cohort-prime
+// redraw only fires where generation used to fail, so a seed that
+// succeeded before draws byte-identical keys.
+func TestKeyStreamUnchanged(t *testing.T) {
+	f := NewKeyFactory(20160, 256)
+	h := sha256.New()
+	for i := 0; i < 40; i++ {
+		var k *weakrsa.PrivateKey
+		var err error
+		switch i % 4 {
+		case 0, 1:
+			k, err = f.SharedPrime("a", weakrsa.PrimeNaive)
+		case 2:
+			k, err = f.SharedPrime("b", weakrsa.PrimeOpenSSL)
+		default:
+			k, err = f.Healthy()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%x %x %x\n", k.N, k.P, k.D)
+	}
+	const want = "a014ab71da2ef0b78b491d5de6db1fe87dbb1cdc4d36cdb0f5dcd6c3c9bcd2c3"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("key stream digest = %s, want %s", got, want)
 	}
 }

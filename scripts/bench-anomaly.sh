@@ -6,7 +6,7 @@
 #     fermat_weak and every planted small-factor modulus small_factor;
 #   - precision: zero false hits on the safe majority;
 #   - throughput: >= 100 probes/sec on the pooled engine (the budget
-#     that keeps a novel /v1/check probe in the low milliseconds).
+#     that keeps a novel /v1/check probe near a millisecond).
 set -eu
 
 MODULI="${BENCH_MODULI:-2000}"
